@@ -6,7 +6,7 @@ PY := PYTHONPATH=src python
 	load-harness-mixed footprint
 
 test: test-robustness test-durability test-replication \
-	test-observability test-governor
+	test-observability test-governor test-mvcc
 	$(PY) -m pytest -x -q
 
 # Request-lifecycle suites: deadlines, cancellation, fair locking,

@@ -18,7 +18,7 @@ from repro import SSDM, MemoryArrayStore, NumericArray, SqlArrayStore
 from repro.algebra.optimizer import optimize
 from repro.algebra.rewriter import rewrite
 from repro.algebra.translator import translate
-from repro.storage import APRResolver, ChunkCache, Strategy
+from repro.storage import APRResolver, BufferPool, Strategy
 
 
 # -- optimizer ablation -------------------------------------------------------
@@ -79,7 +79,7 @@ def cached_store():
                          ids=["cache", "no-cache"])
 def test_repeated_views_cache(benchmark, cached_store, with_cache):
     store, proxy = cached_store
-    cache = ChunkCache(max_bytes=64 * 1024 * 1024) if with_cache else None
+    cache = BufferPool(max_bytes=64 * 1024 * 1024) if with_cache else None
     resolver = APRResolver(store, strategy=Strategy.SPD, cache=cache)
     views = [proxy.subscript([row]) for row in range(0, 64)]
 

@@ -29,7 +29,6 @@ import numpy as np
 from repro.engine.bindings import Bindings
 from repro.governor import current_scope
 from repro.lifecycle import current_deadline
-from repro.rdf.graph import _ambient_version
 from repro.rdf.term import is_term
 from repro.sparql import ast
 
@@ -166,23 +165,13 @@ class IdBGPMatcher:
     # -- ID-space join ------------------------------------------------------------
 
     def _join_ids(self, binding):
-        graph = self._graph
-        source = _ambient_version(graph)
-        if source is None:
-            # live read (single writer or embedded use): consolidating
-            # here is safe because no snapshot pins the current base
-            graph._ensure_flushed()
-            source = graph
-            encode = graph._dict.try_encode
-        else:
-            # MVCC read: never consolidate (the graph belongs to the
-            # writer) — the frozen version merges its own overlay
-            encode = source.try_encode
+        # the pinned snapshot's version, or the current frozen state
+        source = self._graph._reader()
         fixed = {}
         for name in self._names:
             term = binding.get(name)
             if term is not None:
-                tid = encode(term)
+                tid = source.try_encode(term)
                 if tid is None:
                     # the bound term occurs in no triple at all
                     return None
@@ -192,7 +181,7 @@ class IdBGPMatcher:
         nrows = 1
         for spec in self._specs:
             columns, nrows = self._apply_pattern(
-                spec, fixed, columns, nrows, source, encode, scope
+                spec, fixed, columns, nrows, source, scope
             )
             if nrows == 0:
                 return None
@@ -203,7 +192,7 @@ class IdBGPMatcher:
         return columns, nrows, source
 
     def _apply_pattern(self, spec, fixed, columns, nrows, source,
-                       encode, scope=None):
+                       scope=None):
         scalars = [None, None, None]
         joins: List[Tuple[int, str]] = []
         free: List[Tuple[int, str]] = []
@@ -211,7 +200,7 @@ class IdBGPMatcher:
         duplicates: List[Tuple[int, int]] = []
         for position, (kind, payload) in enumerate(spec):
             if kind == _CONST:
-                tid = encode(payload)
+                tid = source.try_encode(payload)
                 if tid is None:
                     return columns, 0
                 scalars[position] = tid

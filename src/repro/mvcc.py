@@ -105,7 +105,8 @@ class Snapshot:
 
     def version_of(self, graph):
         """Frozen graph state at this snapshot, or None for graphs the
-        version does not cover (reads then see the live graph)."""
+        version does not cover (reads then freeze the graph's current
+        state)."""
         self.check()
         return self.version.version_of(graph)
 
@@ -266,9 +267,9 @@ def current_snapshot():
 def snapshot_scope(snapshot):
     """Install ``snapshot`` as the ambient snapshot for this thread.
 
-    The engine's graph read paths (``Graph.triples``, the idjoin fast
-    path) consult :func:`current_snapshot` and route reads through the
-    pinned version; scopes nest (a sub-query inherits the outer
+    Every graph read (``Graph._reader``, used by ``Graph.triples`` and
+    the idjoin fast path) consults :func:`current_snapshot` and reads
+    the pinned version; scopes nest (a sub-query inherits the outer
     snapshot unless explicitly overridden).
     """
     previous = getattr(_SCOPE, "snapshot", None)

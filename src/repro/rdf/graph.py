@@ -17,16 +17,22 @@ Consolidation is *publish-then-swap*: the merge builds brand-new
 them with one reference assignment, so a concurrent reader holding the
 old base mid-``run_bounds`` never observes a half-merged index.
 
-**MVCC versions.**  :meth:`Graph.freeze` captures the current logical
-state as an immutable :class:`GraphVersion` — the shared sorted base
-plus a copy of the pending overlay and the dictionary watermark — in
-O(overlay).  The single writer publishes one per WAL record
-(:meth:`~repro.rdf.dataset.Dataset.publish`); lock-free readers resolve
-patterns against their pinned version, merging its overlay on the fly.
-When an ambient MVCC snapshot is installed
-(:func:`repro.mvcc.current_snapshot`), the plain read API
-(:meth:`triples`, :meth:`count`, containment) routes through the
-snapshot's version automatically.
+**One read path.**  Every read — :meth:`Graph.triples`,
+:meth:`Graph.count`, containment, ``len`` and the engine's ID-space
+joins (:mod:`repro.engine.idjoin`) — resolves against an immutable
+:class:`GraphVersion` chosen by ``Graph._reader``: the ambient MVCC
+snapshot's version when one is installed
+(:func:`repro.mvcc.current_snapshot`), else the current state captured
+by :meth:`Graph.freeze` and cached until the next mutation.  A version
+is the shared sorted base plus a copy of the pending overlay and the
+dictionary watermark, captured in O(overlay); reads merge its overlay
+on the fly.  The single writer publishes one per WAL record
+(:meth:`~repro.rdf.dataset.Dataset.publish`).
+
+The invariant that makes this safe: a read without a snapshot runs on
+the writer thread (embedded use, update WHERE clauses, loaders), since
+freezing may consolidate the overlay; every server read pins a
+snapshot and never touches the mutable graph.
 
 Per-property cardinality statistics — triple counts and distinct
 subject/value counts — are maintained *incrementally* on every
@@ -37,6 +43,7 @@ on every pattern-ordering pass, :mod:`repro.algebra.cost`).
 
 from __future__ import annotations
 
+from itertools import chain
 from math import isqrt
 from typing import Dict, Iterator, Set, Tuple
 
@@ -81,20 +88,6 @@ def _matches(row, s, p, o):
     return (s is None or row[0] == s) and \
         (p is None or row[1] == p) and \
         (o is None or row[2] == o)
-
-
-def _ambient_version(graph):
-    """The frozen state of ``graph`` pinned by the ambient snapshot.
-
-    None when no snapshot is installed or the snapshot does not cover
-    this graph (query-local merged graphs read live).  Raises
-    :class:`~repro.exceptions.SnapshotGoneError` when the snapshot was
-    reclaimed.
-    """
-    snapshot = current_snapshot()
-    if snapshot is None:
-        return None
-    return snapshot.version_of(graph)
 
 
 class GraphStatistics:
@@ -169,22 +162,19 @@ class GraphVersion:
     which is what makes dictionary interning append-only-visible-by-seq.
     """
 
-    __slots__ = ("graph", "indexes", "adds_rows", "adds_arr", "adds_set",
-                 "dels", "size", "dictionary", "term_limit")
-
-    #: Same engine fast-path marker as Graph — a version answers the
-    #: identical ID-space read API.
-    supports_id_space = True
+    __slots__ = ("graph", "indexes", "adds", "adds_arr", "dels", "size",
+                 "dictionary", "term_limit")
 
     def __init__(self, graph):
         self.graph = graph
         self.indexes = (graph._idx_spo, graph._idx_pos, graph._idx_osp)
-        self.adds_rows = tuple(graph._pending_add)
-        self.adds_set = frozenset(self.adds_rows)
-        self.adds_arr = (
-            np.array(self.adds_rows, dtype=np.int64).reshape(-1, 3)
-            if self.adds_rows else None
-        )
+        # the overlay's add rows, as a private copy of the graph's
+        # ordered-set dict (membership) and as an (n, 3) array (scans)
+        self.adds = graph._pending_add.copy()
+        self.adds_arr = np.fromiter(
+            chain.from_iterable(self.adds), dtype=np.int64,
+            count=3 * len(self.adds),
+        ).reshape(-1, 3)
         self.dels = frozenset(graph._pending_del)
         self.size = graph._size
         self.dictionary = graph._dict
@@ -192,6 +182,13 @@ class GraphVersion:
 
     def __len__(self):
         return self.size
+
+    def __contains__(self, triple):
+        row = tuple(
+            self.try_encode(component) for component in
+            (triple[0], triple[1], triple[2])
+        )
+        return None not in row and self._contains_row(row)
 
     def try_encode(self, term):
         """The term's ID when it was interned *before* this version."""
@@ -206,16 +203,31 @@ class GraphVersion:
         the live list is race-free."""
         return self.dictionary.term_list()
 
-    # -- ID-space reads (mirror Graph's private API) --------------------
+    def _pattern_ids(self, subject, prop, value):
+        """ID pattern of a term pattern (None = wildcard), or None when
+        a bound term occurs in no triple of this version."""
+        ids = []
+        for term in (subject, prop, value):
+            if term is None:
+                ids.append(None)
+                continue
+            tid = self.try_encode(term)
+            if tid is None:
+                return None
+            ids.append(tid)
+        return ids
+
+    # -- ID-space reads (engine fast path) -------------------------------
 
     def _run_arrays(self, s=None, p=None, o=None):
-        """Sorted-run column views with the overlay merged in.
+        """Sorted-run column views for constant-bound components.
 
-        Same contract as :meth:`Graph._run_arrays`: returns
-        ``(s_col, p_col, o_col, leading_free)`` where the run is sorted
-        by the chosen index's storage order (deleted base rows masked
-        out, overlay adds merged in by lexsort), so merge joins keep
-        their sortedness invariant on ``leading_free``.
+        Returns ``(s_col, p_col, o_col, leading_free)``: the matching
+        run sorted by the chosen index's storage order (deleted base
+        rows masked out, overlay adds merged in by lexsort), and the
+        SPO position (0/1/2) of the run's leading unbound component —
+        that column is sorted within the run, which merge joins
+        exploit — or None when fully bound.
         """
         index, prefix = _choose_run(*self.indexes, s, p, o)
         lo, hi = index.run_bounds(prefix)
@@ -237,30 +249,30 @@ class GraphVersion:
                 s_col = s_col[keep]
                 p_col = p_col[keep]
                 o_col = o_col[keep]
-        if self.adds_arr is not None:
-            arr = self.adds_arr
-            mask = np.ones(len(arr), dtype=bool)
-            if s is not None:
-                mask &= arr[:, 0] == s
-            if p is not None:
-                mask &= arr[:, 1] == p
-            if o is not None:
-                mask &= arr[:, 2] == o
-            if mask.any():
-                extra = arr[mask]
-                logical = (
-                    np.concatenate([s_col, extra[:, 0]]),
-                    np.concatenate([p_col, extra[:, 1]]),
-                    np.concatenate([o_col, extra[:, 2]]),
-                )
-                p0, p1, p2 = index.perm
-                order = np.lexsort(
-                    (logical[p2], logical[p1], logical[p0])
-                )
-                s_col = logical[0][order]
-                p_col = logical[1][order]
-                o_col = logical[2][order]
+        extra = self._added(s, p, o)
+        if len(extra):
+            logical = (
+                np.concatenate([s_col, extra[:, 0]]),
+                np.concatenate([p_col, extra[:, 1]]),
+                np.concatenate([o_col, extra[:, 2]]),
+            )
+            p0, p1, p2 = index.perm
+            order = np.lexsort((logical[p2], logical[p1], logical[p0]))
+            s_col = logical[0][order]
+            p_col = logical[1][order]
+            o_col = logical[2][order]
         return s_col, p_col, o_col, leading_free
+
+    def _added(self, s=None, p=None, o=None):
+        """The overlay add rows matching the bound components."""
+        arr = self.adds_arr
+        if not len(arr) or (s is None and p is None and o is None):
+            return arr
+        mask = np.ones(len(arr), dtype=bool)
+        for column, tid in enumerate((s, p, o)):
+            if tid is not None:
+                mask &= arr[:, column] == tid
+        return arr[mask]
 
     def _scan_ids(self, s=None, p=None, o=None):
         """Yield matching (s, p, o) ID rows at this version."""
@@ -273,9 +285,8 @@ class GraphVersion:
                     yield row
         else:
             yield from index.iter_rows(lo, hi)
-        for row in self.adds_rows:
-            if _matches(row, s, p, o):
-                yield row
+        for row in self._added(s, p, o).tolist():
+            yield tuple(row)
 
     def _count_ids(self, s=None, p=None, o=None):
         index, prefix = _choose_run(*self.indexes, s, p, o)
@@ -286,13 +297,10 @@ class GraphVersion:
         for row in self.dels:
             if _matches(row, s, p, o):
                 count -= 1
-        for row in self.adds_rows:
-            if _matches(row, s, p, o):
-                count += 1
-        return count
+        return count + len(self._added(s, p, o))
 
     def _contains_row(self, row):
-        if row in self.adds_set:
+        if row in self.adds:
             return True
         if row in self.dels:
             return False
@@ -300,18 +308,18 @@ class GraphVersion:
 
     def triples(self, subject=None, prop=None, value=None):
         """Iterate term-space triples matching a pattern at this version."""
-        ids = []
-        for term in (subject, prop, value):
-            if term is None:
-                ids.append(None)
-                continue
-            tid = self.try_encode(term)
-            if tid is None:
-                return
-            ids.append(tid)
+        ids = self._pattern_ids(subject, prop, value)
+        if ids is None:
+            return
         terms = self.term_list()
-        for s, p, o in self._scan_ids(ids[0], ids[1], ids[2]):
+        for s, p, o in self._scan_ids(*ids):
             yield Triple(terms[s], terms[p], terms[o])
+
+    def count(self, subject=None, prop=None, value=None):
+        """Number of matching triples at this version, from run bounds
+        adjusted by the overlay."""
+        ids = self._pattern_ids(subject, prop, value)
+        return 0 if ids is None else self._count_ids(*ids)
 
     def retained_nbytes(self, seen):
         """Bytes this version pins beyond the graph's live state.
@@ -331,7 +339,7 @@ class GraphVersion:
                 total += index.nbytes
         if id(self) not in seen:
             seen.add(id(self))
-            total += 24 * (len(self.adds_rows) + len(self.dels))
+            total += 24 * (len(self.adds) + len(self.dels))
         return total
 
 
@@ -389,41 +397,44 @@ class Graph:
     def term_dictionary(self):
         return self._dict
 
-    def term_list(self):
-        """Decode table of the live dictionary (see
-        :meth:`GraphVersion.term_list` for the snapshot-pinned twin)."""
-        return self._dict.term_list()
-
     def __len__(self):
-        version = _ambient_version(self)
-        if version is not None:
-            return version.size
-        return self._size
+        return self._reader().size
 
     def __iter__(self):
         return self.triples()
 
     def __contains__(self, triple):
-        version = _ambient_version(self)
-        if version is not None:
-            row = tuple(
-                version.try_encode(component) for component in
-                (triple[0], triple[1], triple[2])
-            )
-            return None not in row and version._contains_row(row)
-        row = self._try_row(triple[0], triple[1], triple[2])
-        return row is not None and self._contains_row(row)
+        return triple in self._reader()
 
     # -- versioning ---------------------------------------------------------------
+
+    def _reader(self):
+        """The :class:`GraphVersion` every read of this graph goes through.
+
+        Without a snapshot: the current state via :meth:`freeze`, so
+        such reads must run on the writer thread.  Under an ambient
+        MVCC snapshot: the pinned version (raising
+        :class:`~repro.exceptions.SnapshotGoneError` once it was
+        reclaimed), or, for a graph the snapshot does not cover (a
+        query-local graph, or one created after the snapshot), a fresh
+        capture — a snapshot reader may run beside the writer, so it
+        never consolidates the graph or replaces its cached version.
+        """
+        snapshot = current_snapshot()
+        if snapshot is None:
+            return self.freeze()
+        version = snapshot.version_of(self)
+        return version if version is not None else GraphVersion(self)
 
     def freeze(self):
         """Capture the current logical state as a :class:`GraphVersion`.
 
-        Called by the single writer (or under the dataset's publish
-        lock), never concurrently with mutation.  When the overlay has
-        outgrown the publish cap it is consolidated first so version
-        captures stay O(sqrt(n)); an unchanged graph returns the cached
-        version so read-mostly workloads publish for free.
+        Called by the single writer (publication, and reads that pin no
+        snapshot) or under the dataset's publish lock, never
+        concurrently with mutation.  When the overlay has outgrown the
+        publish cap it is consolidated first so version captures stay
+        O(sqrt(n)); an unchanged graph returns the cached version so
+        read-mostly workloads publish (and read) for free.
         """
         key = (self._mutations, self._flushes)
         cached = self._frozen_version
@@ -524,62 +535,15 @@ class Graph:
         The constants always form a *prefix* of one of the three
         permutation indexes, so every lookup with at least one bound
         component is a binary-searched run, never a full scan.  The
-        pending delta is merged on the fly; mutating the graph while
-        iterating raises RuntimeError (as dict iteration did before).
-        Under an ambient MVCC snapshot the iteration reads the pinned
-        immutable version instead of the live structures.
+        iteration reads the version current when it began: mutating
+        the graph meanwhile is safe and invisible to it.
         """
-        version = _ambient_version(self)
-        if version is not None:
-            yield from version.triples(subject, prop, value)
-            return
-        ids = []
-        for term in (subject, prop, value):
-            if term is None:
-                ids.append(None)
-                continue
-            tid = self._dict.try_encode(term)
-            if tid is None:
-                return
-            ids.append(tid)
-        terms = self._dict.term_list()
-        generation = self._mutations
-        for s, p, o in self._scan_ids(ids[0], ids[1], ids[2]):
-            if self._mutations != generation:
-                raise RuntimeError("graph changed size during iteration")
-            yield Triple(terms[s], terms[p], terms[o])
+        yield from self._reader().triples(subject, prop, value)
 
     def count(self, subject=None, prop=None, value=None):
         """Number of triples matching the pattern, computed from run
         bounds without listing."""
-        version = _ambient_version(self)
-        if version is not None:
-            if subject is None and prop is None and value is None:
-                return version.size
-            row = []
-            for term in (subject, prop, value):
-                if term is None:
-                    row.append(None)
-                    continue
-                tid = version.try_encode(term)
-                if tid is None:
-                    return 0
-                row.append(tid)
-            return version._count_ids(row[0], row[1], row[2])
-        if subject is None and prop is None and value is None:
-            return self._size
-        if subject is None and value is None:
-            return self.statistics.property_count(prop)
-        row = []
-        for term in (subject, prop, value):
-            if term is None:
-                row.append(None)
-                continue
-            tid = self._dict.try_encode(term)
-            if tid is None:
-                return 0
-            row.append(tid)
-        return self._count_ids(row[0], row[1], row[2])
+        return self._reader().count(subject, prop, value)
 
     def pattern_count(self, subject=None, prop=None, value=None):
         """Exact run length of a pattern over ground terms.
@@ -640,7 +604,7 @@ class Graph:
         from repro.rdf.serializer import serialize_turtle
         return serialize_turtle(self, prefixes=prefixes)
 
-    # -- ID-space access (engine fast path, cost model) ---------------------------
+    # -- consolidation ------------------------------------------------------------
 
     def _ensure_flushed(self):
         """Merge the pending delta so the sorted base is authoritative."""
@@ -682,26 +646,6 @@ class Graph:
         threshold = max(FLUSH_FLOOR, len(self._idx_spo) >> 3)
         if len(self._pending_add) + len(self._pending_del) >= threshold:
             self._flush()
-
-    def _run_arrays(self, s=None, p=None, o=None):
-        """Sorted-run column views for constant-bound components.
-
-        Requires a flushed graph (call :meth:`_ensure_flushed` first).
-        Returns ``(s_col, p_col, o_col, leading_free)`` where the
-        columns are numpy views over the matching run and
-        ``leading_free`` is the SPO position (0/1/2) of the run's
-        leading unbound component — that column is sorted within the
-        run, which merge joins exploit — or None when fully bound.
-        """
-        index, prefix = _choose_run(
-            self._idx_spo, self._idx_pos, self._idx_osp, s, p, o
-        )
-        lo, hi = index.run_bounds(prefix)
-        s_col, p_col, o_col = index.logical_columns(lo, hi)
-        leading_free = (
-            index.perm[len(prefix)] if len(prefix) < 3 else None
-        )
-        return s_col, p_col, o_col, leading_free
 
     def index_stats(self):
         """Footprint and maintenance counters of the ID-space layout."""
@@ -761,42 +705,6 @@ class Graph:
         if o is None:
             return None
         return (s, p, o)
-
-    def _contains_row(self, row):
-        if row in self._pending_add:
-            return True
-        if row in self._pending_del:
-            return False
-        return self._idx_spo.find_row(row) >= 0
-
-    def _scan_ids(self, s=None, p=None, o=None):
-        """Yield matching (s, p, o) ID rows, merging the pending delta."""
-        index, prefix = _choose_run(
-            self._idx_spo, self._idx_pos, self._idx_osp, s, p, o
-        )
-        lo, hi = index.run_bounds(prefix)
-        deleted = self._pending_del
-        if deleted:
-            for row in index.iter_rows(lo, hi):
-                if row not in deleted:
-                    yield row
-        else:
-            yield from index.iter_rows(lo, hi)
-        if self._pending_add:
-            for row in list(self._pending_add):
-                if _matches(row, s, p, o):
-                    yield row
-
-    def _count_ids(self, s=None, p=None, o=None):
-        if not self._pending_add and not self._pending_del:
-            index, prefix = _choose_run(
-                self._idx_spo, self._idx_pos, self._idx_osp, s, p, o
-            )
-            if not prefix:
-                return self._size
-            lo, hi = index.run_bounds(prefix)
-            return hi - lo
-        return sum(1 for _ in self._scan_ids(s, p, o))
 
     def _row_added(self, row):
         s, p, o = row

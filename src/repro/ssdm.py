@@ -296,7 +296,13 @@ class SSDM:
     # -- data entry ----------------------------------------------------------------
 
     def add(self, subject, prop, value, graph=None):
-        """Insert one triple, externalizing large array values."""
+        """Insert one triple, externalizing large array values.
+
+        Writes no WAL record: on a store opened with :meth:`open` the
+        triple survives a crash only once :meth:`snapshot` has run.
+        Use ``INSERT DATA`` through :meth:`execute` for a journaled
+        insert.
+        """
         target = self.dataset.graph(graph)
         target.add(subject, prop, self._store_array(value))
         return self

@@ -47,7 +47,6 @@ from repro import governor as gov
 from repro.lifecycle import current_deadline, deadline_scope
 from repro import observability as obs
 from repro.storage.bufferpool import BufferPool, shared_pool
-from repro.storage.cache import ChunkCache
 from repro.storage.spd import RANGE, SINGLE, SequencePatternDetector
 
 #: A contiguous SPD range is split into pipeline units of at most this

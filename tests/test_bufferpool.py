@@ -18,7 +18,6 @@ from repro import (
 from repro.client import SSDMClient, SSDMServer
 from repro.exceptions import StorageError
 from repro.storage.bufferpool import BufferPool, shared_pool
-from repro.storage.cache import ChunkCache
 
 
 def chunk(n=16, value=1.0):
@@ -37,9 +36,10 @@ class TestAdmission:
         assert stats["bytes"] == 0
 
     def test_chunkcache_rejects_oversized_instead_of_keeping_it(self):
-        # the old ChunkCache admitted chunks larger than its whole
-        # budget (its eviction loop stopped at one resident entry)
-        cache = ChunkCache(max_bytes=64)
+        # the old per-resolver ChunkCache admitted chunks larger than
+        # its whole budget (its eviction loop stopped at one resident
+        # entry); a BufferPool attached as a resolver cache rejects them
+        cache = BufferPool(max_bytes=64)
         assert cache.put(1, 0, np.zeros(64)) is False
         assert len(cache) == 0
         assert cache.stats()["rejected"] == 1

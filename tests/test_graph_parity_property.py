@@ -1,8 +1,9 @@
 """Property: every triple-store implementation is observably identical.
 
-The same random sequence of add/remove operations and pattern queries
-must give identical observable state on all implementations — the
-contract that lets the engine run unchanged over any store:
+The same random sequence of add/remove operations, reads interleaved
+with them, and pattern queries must give identical observable state on
+all implementations — the contract that lets the engine run unchanged
+over any store:
 
 - ``SqlTripleGraph`` (relational back-end) versus the in-memory graph;
 - the dictionary-encoded, permutation-indexed :class:`Graph` versus the
@@ -21,7 +22,7 @@ from repro.storage import SqlTripleGraph
 
 operations = st.lists(
     st.tuples(
-        st.sampled_from(["add", "remove"]),
+        st.sampled_from(["add", "remove", "read"]),
         st.integers(0, 3),               # subject
         st.integers(0, 2),               # predicate
         st.one_of(
@@ -45,6 +46,17 @@ def predicate(i):
     return URI("http://e/p%d" % i)
 
 
+def assert_reads_agree(graph, oracle, triple):
+    """Reads mid-sequence match the oracle: a version cached before a
+    mutation is never served after it."""
+    s, p, _ = triple
+    assert len(graph) == len(oracle)
+    assert (triple in graph) == (triple in oracle)
+    assert graph.count(s, p, None) == oracle.count(s, p, None)
+    assert {(t.property, t.value) for t in graph.triples(s)} == \
+        {(t.property, t.value) for t in oracle.triples(s)}
+
+
 @given(operations)
 @settings(max_examples=60, deadline=None)
 def test_same_observable_state(ops):
@@ -55,8 +67,10 @@ def test_same_observable_state(ops):
         if action == "add":
             memory.add(*triple)
             relational.add(*triple)
-        else:
+        elif action == "remove":
             assert memory.remove(*triple) == relational.remove(*triple)
+        else:
+            assert_reads_agree(memory, relational, triple)
     assert len(memory) == len(relational)
     memory_set = {
         (t.subject, t.property, t.value) for t in memory.triples()
@@ -105,8 +119,10 @@ def test_id_graph_matches_hash_index_graph(ops):
         if action == "add":
             indexed.add(*triple)
             legacy.add(*triple)
-        else:
+        elif action == "remove":
             assert indexed.remove(*triple) == legacy.remove(*triple)
+        else:
+            assert_reads_agree(indexed, legacy, triple)
     assert len(indexed) == len(legacy)
     subjects = [None] + [subject(i) for i in range(4)]
     predicates = [None] + [predicate(i) for i in range(3)]
@@ -170,8 +186,11 @@ def test_engine_fast_path_matches_interpreter(ops):
         triple = (subject(s), predicate(p), term(o))
         if action == "add":
             graph.add(*triple)
-        else:
+        elif action == "remove":
             graph.remove(*triple)
+        else:
+            # caches a frozen version the next mutation must supersede
+            len(graph)
     for query in PARITY_QUERIES:
         before = idjoin.counters["solve"]
         # terms have no ordering; compare as sorted repr multisets

@@ -38,7 +38,7 @@ from repro.exceptions import (
 from repro.governor import get_governor
 from repro.mvcc import DatasetVersion, SnapshotManager, snapshot_scope
 from repro.rdf.dataset import Dataset
-from repro.rdf.graph import Graph
+from repro.rdf.graph import FLUSH_FLOOR, Graph
 from repro.rdf.hashgraph import HashIndexGraph
 from repro.storage.faults import FaultPlan, SimulatedCrash
 
@@ -217,6 +217,27 @@ class TestConsolidationRace:
             writer.join()
         assert graph._flushes == 1
         assert _triples(graph) == expected
+
+    def test_snapshot_reader_never_consolidates_an_uncovered_graph(self):
+        ssdm = SSDM()
+        _insert(ssdm, 0)
+        with ssdm._read_snapshot():
+            # created after the snapshot, so the snapshot does not
+            # cover it; its overlay is past the publish cap, where a
+            # freeze() would consolidate
+            late = ssdm.dataset.graph(URI("http://e/late"), create=True)
+            for i in range(10_000):
+                late.add(_subject(i), P, Literal(i))
+            late._ensure_flushed()
+            for i in range(10_000, 10_000 + FLUSH_FLOOR):
+                late.add(_subject(i), P, Literal(i))
+            before = late.index_stats()
+            assert before["pending"] >= late._publish_cap()
+            assert len(late) == 10_000 + FLUSH_FLOOR
+            assert late.count(None, P, None) == len(late)
+            assert (_subject(7), P, Literal(7)) in late
+            assert late.index_stats() == before
+            assert late._frozen_version is None
 
     def test_concurrent_version_scans_during_flushes(self):
         ds = Dataset()

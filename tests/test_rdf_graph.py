@@ -51,6 +51,27 @@ class TestBasicOps:
         assert removed == 3
         assert len(graph) == 2
 
+    def test_remove_while_iterating_empties_graph(self, graph):
+        # iteration reads the version current when it began, so the
+        # removes are invisible to it and no triple is skipped
+        for triple in graph.triples():
+            graph.remove(*triple)
+        assert len(graph) == 0
+        assert list(graph.triples()) == []
+
+    def test_remove_while_iterating_across_consolidations(self):
+        # enough rows that the base is sorted and the removes merge
+        # into fresh indexes mid-iteration
+        graph = Graph()
+        for i in range(3000):
+            graph.add(uri("s%d" % (i % 50)), uri("p"), Literal(i))
+        flushes = graph.index_stats()["flushes"]
+        for triple in graph.triples(None, uri("p")):
+            graph.remove(*triple)
+        assert graph.index_stats()["flushes"] > flushes
+        assert len(graph) == 0
+        assert graph.count(None, uri("p")) == 0
+
     def test_clear(self, graph):
         graph.clear()
         assert len(graph) == 0
